@@ -89,8 +89,8 @@ type Spec struct {
 func (s Spec) Enabled() bool { return s != Spec{} }
 
 // MessageFaults reports whether the plan touches the message path
-// (drop, duplication, or delay spikes). The harness disables transport
-// coalescing for such plans so each message draws its own verdict.
+// (drop, duplication, or delay spikes), where each message draws its
+// own verdict.
 func (s Spec) MessageFaults() bool { return s.Drop > 0 || s.Dup > 0 || s.DelaySpike > 0 }
 
 // WithDefaults fills unset fields, given the scenario horizon. It is

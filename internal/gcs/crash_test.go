@@ -106,3 +106,74 @@ func TestRecoverRestartsLogicalFromHardware(t *testing.T) {
 		t.Fatalf("recovered logical %v != hardware %v (volatile state survived)", l, h)
 	}
 }
+
+// TestCrashBeforeDeliveryLosesMessage pins the interleaving where the
+// receiver crashes while a message to it is in flight: the transport
+// still delivers (to a dead process), the node ignores it, and a later
+// recovery does not resurrect it — the value is gone with the rest of
+// the volatile state.
+func TestCrashBeforeDeliveryLosesMessage(t *testing.T) {
+	p := Params{Rho: 0.01, MaxDelay: 0.01, BeaconEvery: 0.1, JumpThreshold: 0}
+	en, net, nodes := pairNet(p, 1, 1, 0.01)
+
+	en.Schedule(1, "test.send", func() { net.Send(0, 1, 100) })
+	// Crash strictly between the send (1.0) and its delivery (1.01).
+	en.Schedule(1.005, "test.crash", func() { nodes[1].Crash() })
+	en.Run(2)
+
+	if st := net.Stats(); st.Sent != 1 || st.Delivered != 1 {
+		t.Fatalf("message not delivered (the edge never vanished): %+v", st)
+	}
+	s := nodes[1].Snap()
+	if s.Messages != 0 || s.Jumps != 0 {
+		t.Fatalf("crashed node ingested the message: %+v", s)
+	}
+	if !math.IsInf(s.MaxEstimate, -1) {
+		t.Fatalf("crashed node retained an estimate: %+v", s)
+	}
+
+	// Recovery must not resurrect the message either: the logical clock
+	// restarts from hardware and no estimate reappears.
+	en.Schedule(2.5, "test.recover", func() { nodes[1].Recover() })
+	en.Run(3)
+	s = nodes[1].Snap()
+	if s.Messages != 0 {
+		t.Fatalf("recovery resurrected the dead-delivered message: %+v", s)
+	}
+	if math.Abs(s.Logical-s.Hardware) > 1e-9 {
+		t.Fatalf("recovered logical %v != hardware %v", s.Logical, s.Hardware)
+	}
+}
+
+// TestRecoverBeforeDeliveryIngestsMessage pins the complementary
+// interleaving: crash and recovery both complete while the message is
+// still in flight. Messages survive a receiver crash/recover cycle —
+// only node state is volatile — so the recovered node ingests it and
+// jumps to it.
+func TestRecoverBeforeDeliveryIngestsMessage(t *testing.T) {
+	p := Params{Rho: 0.01, MaxDelay: 0.01, BeaconEvery: 0.1, JumpThreshold: 0}
+	en, net, nodes := pairNet(p, 1, 1, 0.01)
+
+	en.Schedule(1, "test.send", func() { net.Send(0, 1, 100) })
+	en.Schedule(1.002, "test.crash", func() { nodes[1].Crash() })
+	en.Schedule(1.005, "test.recover", func() { nodes[1].Recover() })
+	en.Run(2)
+
+	// The recovered node's rejoin beacon adds its own traffic on top of
+	// the injected message, so only the delivery is pinned.
+	if st := net.Stats(); st.Delivered < 1 {
+		t.Fatalf("message lost in flight: %+v", st)
+	}
+	s := nodes[1].Snap()
+	if s.Messages != 1 {
+		t.Fatalf("recovered node counted %d messages, want 1", s.Messages)
+	}
+	// With threshold 0 the node jumps once, straight to the value
+	// (conservatively aged, so slightly below 100 plus elapsed credit).
+	if s.Jumps != 1 {
+		t.Fatalf("recovered node jumped %d times, want 1", s.Jumps)
+	}
+	if s.Logical < 90 {
+		t.Fatalf("recovered node never caught up to the message: L=%v", s.Logical)
+	}
+}

@@ -393,35 +393,6 @@ func (nd *Node) OnMessage(from int, value float64) {
 	nd.recompute()
 }
 
-// OnValues ingests a coalesced batch of beacons from one sender in a
-// single pass: only the largest value can raise the stored estimate (all
-// values share the ingest instant, so aging is identical), so the batch
-// folds to one max scan, one estimate update, and one recompute instead
-// of len(values) of each. Ingesting the values one OnMessage at a time
-// reaches the same estimate and regime; only the jump counter can differ
-// (a staged arrival may jump more than once where the fold jumps once).
-func (nd *Node) OnValues(from int, values []float64) {
-	if nd.down || len(values) == 0 {
-		return
-	}
-	h := nd.clk.Now()
-	nd.msgs += len(values)
-	maxV := values[0]
-	for _, v := range values[1:] {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	norm := maxV - nd.ageFactor()*h
-	if e, ok := nd.est[from]; !ok || norm > e.norm {
-		nd.est[from] = estimate{norm: norm}
-		if norm > nd.maxNorm {
-			nd.maxNorm = norm
-		}
-	}
-	nd.recompute()
-}
-
 // emit broadcasts the node's logical value after refreshing its regime.
 func (nd *Node) emit() {
 	if nd.down {

@@ -223,11 +223,10 @@ type Runtime struct {
 	events atomic.Uint64
 
 	// Sampler-owned observation state.
-	vals       []float64
-	edges      [][2]int
-	report     sim.SkewReport
-	faultBound float64
-	goodSince  float64
+	vals   []float64
+	edges  [][2]int
+	report sim.SkewReport
+	reconv sim.Reconvergence
 
 	// churnMu guards the churn chain's timers: the rotate chain re-arms
 	// them from its own goroutine while shutdown stops them from Run's.
@@ -312,7 +311,8 @@ func (r *Runtime) removeStar(hub, keepHub int) {
 	}
 }
 
-// installDriver mirrors the DES driverState.install sequence for node i.
+// installDriver mirrors the DES harness driver's install sequence for
+// node i.
 func (r *Runtime) installDriver(i int, h *host, driveRand *des.Rand) {
 	cfg := &r.cfg
 	switch cfg.Driver.Kind {
@@ -372,11 +372,7 @@ func (r *Runtime) sample() {
 	}
 	r.report.FinalGlobalSkew = spread
 	if r.cfg.Faults.Enabled() {
-		if spread > r.faultBound {
-			r.goodSince = -1
-		} else if r.goodSince < 0 {
-			r.goodSince = r.simNow()
-		}
+		r.reconv.Observe(r.simNow(), spread)
 	}
 	r.report.Samples++
 }
@@ -387,21 +383,6 @@ func (r *Runtime) sleepUntil(t float64) {
 	if d := t - r.simNow(); d > 0 {
 		time.Sleep(durOf(d))
 	}
-}
-
-// reconvergence replicates the DES report metric (sim.reconvergenceTime)
-// from the merged fault stats and the last bound re-entry time.
-func reconvergence(fs fault.Stats, goodSince float64) float64 {
-	if fs.Total() == 0 {
-		return 0
-	}
-	if goodSince < 0 {
-		return math.Inf(1)
-	}
-	if d := goodSince - fs.LastFaultT; d > 0 {
-		return d
-	}
-	return 0
 }
 
 func stopTimer(t *time.Timer) {
@@ -421,7 +402,6 @@ func (r *Runtime) Run() sim.SkewReport {
 	r.start = time.Now() //gcslint:allow nondeterminism — run epoch; all rt timestamps are offsets from it
 	r.done = make(chan struct{})
 	r.report = sim.SkewReport{}
-	r.goodSince = -1
 	r.vals = make([]float64, n)
 
 	// PRNG streams, forked with the same subsystem ids as the DES harness
@@ -491,7 +471,7 @@ func (r *Runtime) Run() sim.SkewReport {
 				}
 			}
 		}
-		r.faultBound = cfg.GlobalSkewBound()
+		r.reconv.Reset(cfg.GlobalSkewBound())
 	}
 
 	// Rotating-star churn chain, on its own goroutine timeline. k, old,
@@ -578,28 +558,19 @@ func (r *Runtime) Run() sim.SkewReport {
 	rep.Transport = r.router.Stats()
 	rep.EventsExecuted = r.events.Load()
 	rep.EdgeAdds, rep.EdgeRemoves = r.router.churnStats()
-	rep.MinRateSeen, rep.MaxRateSeen = math.Inf(1), math.Inf(-1)
-	for _, h := range r.hosts {
-		mn, mx := h.clk.RateBoundsSeen()
-		if mn < rep.MinRateSeen {
-			rep.MinRateSeen = mn
-		}
-		if mx > rep.MaxRateSeen {
-			rep.MaxRateSeen = mx
-		}
-		snap := h.node.Snap()
-		rep.TotalJumps += snap.Jumps
-		rep.TotalMessages += snap.Messages
-		rep.TotalBeacons += snap.Beacons
-		rep.TotalDiscoveries += snap.Discoveries
+	clocks := make([]*DriftClock, n)
+	nodes := make([]*gcs.Node, n)
+	for i, h := range r.hosts {
+		clocks[i], nodes[i] = h.clk, h.node
 	}
+	sim.FoldNodes(rep, clocks, nodes)
 	if spec.Enabled() {
 		var fs fault.Stats
 		for _, h := range r.hosts {
 			fs.Merge(h.fstats)
 		}
 		rep.Faults = fs
-		rep.ReconvergenceTime = reconvergence(fs, r.goodSince)
+		rep.ReconvergenceTime = r.reconv.Time(fs)
 	}
 	return *rep
 }

@@ -5,8 +5,7 @@ package sim
 // wired Run(cfg) — the arena reseeds every PRNG stream and resets every
 // component in place — but the O(n) per-run wiring (engine event pool,
 // graph adjacency and history storage, transport flight arena, clocks,
-// nodes, trace and sample buffers, the analytic bound's topology BFS) is
-// paid once per shape and then reused: re-running a same-shape
+// nodes, trace and sample buffers) is paid once per shape and then reused: re-running a same-shape
 // churn-free config allocates nothing, which TestArenaSecondRunZeroAlloc
 // pins. Churn configs come close but not to zero: the volatile candidate
 // set is cached, but each run still re-arms O(ExtraEdges) per-candidate

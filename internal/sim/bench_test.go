@@ -103,7 +103,7 @@ func BenchmarkRing1024Faults(b *testing.B) {
 }
 
 // BenchmarkRing10k is the 10k-node smoke scenario: the scale target the
-// arena/sweep/coalescing work exists for. It must complete comfortably
+// arena/sweep work exists for. It must complete comfortably
 // within the CI budget (tens of seconds for warm-up plus one iteration).
 func BenchmarkRing10k(b *testing.B) {
 	benchScenario(b, ringConfig(10000))

@@ -6,11 +6,14 @@ import (
 )
 
 // canonicalVersion is the format tag AppendCanonical prefixes its
-// output with. Bump it whenever a field is added to Config (or to any
-// struct it embeds) or the encoding order changes: the canonical bytes
-// are the basis of the result store's content addresses, and a silent
-// layout change would alias old cached results onto new physics.
-const canonicalVersion = 1
+// output with. Bump it whenever a field is added to or removed from
+// Config (or any struct it embeds) or the encoding order changes: the
+// canonical bytes are the basis of the result store's content
+// addresses, and a silent layout change would alias old cached results
+// onto new physics.
+//
+// Version 2 dropped the trailing beacon-coalescing flag.
+const canonicalVersion = 2
 
 // AppendCanonical appends a canonical binary encoding of the config to
 // dst and returns the extended slice. The encoding is the identity of a
@@ -30,8 +33,8 @@ const canonicalVersion = 1
 //     and NaN included) and exact — no formatting round-trip.
 //
 // Every remaining field is physics (Seed, delay law, topology, driver,
-// churn, node parameters, fault plan, gradient-check shape, coalescing)
-// and is encoded in declared order behind a version byte.
+// churn, node parameters, fault plan, gradient-check shape) and is
+// encoded in declared order behind a version byte.
 func (c Config) AppendCanonical(dst []byte) []byte {
 	d := c.WithDefaults()
 	dst = append(dst, canonicalVersion)
@@ -82,8 +85,6 @@ func (c Config) AppendCanonical(dst []byte) []byte {
 	dst = appendF64(dst, d.Faults.RateExcursionFactor)
 	dst = appendF64(dst, d.Faults.RateExcursionFor)
 	dst = appendF64(dst, d.Faults.Until)
-
-	dst = appendBool(dst, d.NoCoalesce)
 	return dst
 }
 

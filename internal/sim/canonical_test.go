@@ -51,7 +51,6 @@ func TestCanonicalDistinguishesPhysics(t *testing.T) {
 		"shards":   func(c *Config) { c.Parallel = true; c.Shards = 5 },
 		"minDelay": func(c *Config) { c.Parallel = true; c.MinDelay = 0.004 },
 		"faults":   func(c *Config) { c.Faults.Drop = 0.1 },
-		"coalesce": func(c *Config) { c.NoCoalesce = true },
 	} {
 		cfg := base
 		mut(&cfg)

@@ -82,17 +82,18 @@ func (s TopologySpec) Edges(n int) []dyngraph.Edge {
 	panic(fmt.Sprintf("sim: unknown topology kind %d", s.Kind))
 }
 
-// diameter returns the topology's hop diameter (-1 if disconnected).
-// The generator topologies have closed forms, so the analytic bound of
-// a 100k-node scenario does not pay an all-source BFS (O(n²) at ring
-// sizes where the simulation itself is O(n)); TopoTwoChains falls back
-// to the generic sweep. TestTopologyDiameterClosedForm pins the closed
-// forms against dyngraph.Diameter.
+// diameter returns the topology's hop diameter in closed form, so the
+// analytic bound of a 100k-node scenario does not pay an all-source BFS
+// (O(n²) at ring sizes where the simulation itself is O(n)).
+// TestTopologyDiameterClosedForm pins the closed forms against
+// dyngraph.Diameter.
 func (s TopologySpec) diameter(n int) int {
 	switch s.Kind {
 	case TopoLine:
 		return n - 1
-	case TopoRing:
+	case TopoRing, TopoTwoChains:
+		// The two chains share their endpoints, so together they form
+		// one n-cycle.
 		return n / 2
 	case TopoStar:
 		if n <= 2 {
@@ -110,7 +111,7 @@ func (s TopologySpec) diameter(n int) int {
 		}
 		return 1
 	}
-	return dyngraph.Diameter(n, s.Edges(n))
+	panic(fmt.Sprintf("sim: unknown topology kind %d", s.Kind))
 }
 
 // DriverKind selects the hardware-clock rate process.
@@ -136,7 +137,7 @@ func (k DriverKind) String() string {
 }
 
 // DriverSpec is a declarative per-node clock driver choice. The same
-// spec instantiates one driver per node (run.go's reusable driverState,
+// spec instantiates one driver per node (harness.go's reusable driver,
 // which reproduces the clock package's driver semantics with reseedable
 // per-node streams): RandomWalk forks an independent stream per node,
 // BangBang anti-phases odd and even nodes (the worst benign pattern for
@@ -270,19 +271,8 @@ type Config struct {
 	// outside [1-rho, 1+rho]. Faults are physics, like Shards and
 	// MinDelay: every draw comes from per-node streams, so faulted
 	// reports are bit-identical across reruns and worker counts, and the
-	// zero value leaves the execution untouched draw for draw. Plans
-	// with message faults force NoCoalesce (a verdict is per send).
+	// zero value leaves the execution untouched draw for draw.
 	Faults FaultSpec
-
-	// NoCoalesce disables transport beacon coalescing (on by default):
-	// with coalescing, values sent over the same directed edge within one
-	// engine event share a single pooled multi-value delivery, capping
-	// delivery cost at one event per directed edge per tick. The current
-	// algorithm sends at most one value per directed edge per tick, so
-	// every batch is a singleton and the coalesced execution is
-	// bit-identical to the uncoalesced one (pinned by the equivalence
-	// tests); the cap protects future multi-send-per-tick workloads.
-	NoCoalesce bool
 }
 
 // WithDefaults returns the config with unset fields filled in. It is
@@ -319,13 +309,6 @@ func (c Config) WithDefaults() Config {
 	c.Node.MaxDelay = c.MaxDelay
 	c.Node = c.Node.WithDefaults()
 	c.Faults = c.Faults.WithDefaults(c.Horizon)
-	if c.Faults.MessageFaults() {
-		// A fault verdict is drawn per send; coalescing would fold many
-		// values under one verdict. Only message-faulted plans pay this —
-		// crash/rate-only plans (and the zero Spec) keep coalescing, so
-		// they stay bit-identical to their unfaulted execution elsewhere.
-		c.NoCoalesce = true
-	}
 	return c
 }
 
@@ -339,7 +322,7 @@ func (c Config) Validate() error {
 	if c.N <= 0 {
 		return fmt.Errorf("sim: Config.N must be positive (got %d)", c.N)
 	}
-	if c.Horizon < 0 || math.IsNaN(c.Horizon) || math.IsInf(c.Horizon, 0) {
+	if c.Horizon < 0 || !finite(c.Horizon) {
 		return fmt.Errorf("sim: Config.Horizon %v must be finite and nonnegative", c.Horizon)
 	}
 	if c.Rho < 0 || c.Rho >= 1 || math.IsNaN(c.Rho) {
@@ -348,8 +331,11 @@ func (c Config) Validate() error {
 	if c.MaxDelay < 0 || math.IsNaN(c.MaxDelay) {
 		return fmt.Errorf("sim: Config.MaxDelay %v must be nonnegative", c.MaxDelay)
 	}
-	if c.SampleEvery < 0 {
-		return fmt.Errorf("sim: Config.SampleEvery %v must be nonnegative", c.SampleEvery)
+	if c.SampleEvery < 0 || !finite(c.SampleEvery) {
+		return fmt.Errorf("sim: Config.SampleEvery %v must be finite and nonnegative", c.SampleEvery)
+	}
+	if !finite(c.Driver.Interval) {
+		return fmt.Errorf("sim: driver interval %v must be finite", c.Driver.Interval)
 	}
 	d := c.WithDefaults()
 	// The rotating star ignores the backbone topology entirely, so a
@@ -403,7 +389,7 @@ func (c Config) Validate() error {
 	if c.Shards < 0 || (c.Parallel && d.Shards < 1) {
 		return fmt.Errorf("sim: Config.Shards must be positive (got %d)", c.Shards)
 	}
-	if d.MinDelay < 0 || d.MinDelay >= d.MaxDelay {
+	if !(d.MinDelay >= 0 && d.MinDelay < d.MaxDelay) { // NaN fails both
 		return fmt.Errorf("sim: Config.MinDelay %v must lie in [0, MaxDelay %v)", d.MinDelay, d.MaxDelay)
 	}
 	if err := d.Node.Validate(); err != nil {
@@ -411,6 +397,8 @@ func (c Config) Validate() error {
 	}
 	return d.Faults.Validate(d.Horizon)
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // GlobalSkewBound returns the analytic worst-case global skew for the
 // scenario. The max-propagation argument: a value held anywhere reaches
@@ -430,11 +418,7 @@ func (c Config) GlobalSkewBound() float64 {
 	if c.Churn.Kind == ChurnRotatingStar {
 		hops = 2
 	} else {
-		d := c.Topology.diameter(c.N)
-		if d < 0 {
-			panic("sim: disconnected backbone topology")
-		}
-		hops = float64(d)
+		hops = float64(c.Topology.diameter(c.N))
 	}
 	return (1 + c.Rho) * (hops*hop + slack)
 }

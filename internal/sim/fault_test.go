@@ -54,6 +54,9 @@ func TestRunReturnsErrorsNotPanics(t *testing.T) {
 		"churnLifetime":   func(c *Config) { c.Churn = ChurnSpec{Kind: ChurnVolatile, Lifetime: -1, Absence: 1} },
 		"negativeShards":  func(c *Config) { c.Shards = -2 },
 		"minDelayTooBig":  func(c *Config) { c.Parallel = true; c.MinDelay = c.MaxDelay * 2 },
+		"minDelayNaN":     func(c *Config) { c.MinDelay = math.NaN() },
+		"sampleNaN":       func(c *Config) { c.SampleEvery = math.NaN() },
+		"intervalNaN":     func(c *Config) { c.Driver.Interval = math.NaN() },
 		"beaconNegative":  func(c *Config) { c.Node.BeaconEvery = -1 },
 		"faultDropRange":  func(c *Config) { c.Faults.Drop = 1.5 },
 		"faultUntilRange": func(c *Config) { c.Faults = FaultSpec{Drop: 0.1, Until: c.Horizon * 2} },

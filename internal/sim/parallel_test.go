@@ -171,6 +171,7 @@ func TestTopologyDiameterClosedForm(t *testing.T) {
 		{TopologySpec{Kind: TopoRing}, 3}, // dyngraph.Ring needs n >= 3
 		{TopologySpec{Kind: TopoStar}, 1},
 		{TopologySpec{Kind: TopoComplete}, 1},
+		{TopologySpec{Kind: TopoTwoChains}, 4}, // dyngraph.NewTwoChains needs n >= 4
 	} {
 		for n := tc.minN; n <= 33; n++ {
 			want := dyngraph.Diameter(n, tc.spec.Edges(n))

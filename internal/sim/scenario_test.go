@@ -135,3 +135,32 @@ func TestGradientRegimeLine(t *testing.T) {
 	rpt := mustRun(t, cfg)
 	assertSkewInvariants(t, cfg, rpt)
 }
+
+// TestTrafficConservedUnderChurn runs the hub-heavy and churn-heavy
+// serial scenarios and asserts each satisfies the skew invariants and
+// conserves traffic accounting: every sent message is delivered,
+// dropped, or still in flight at the horizon.
+func TestTrafficConservedUnderChurn(t *testing.T) {
+	for _, cfg := range []Config{
+		{
+			N: 24, Seed: 6, Horizon: 20, Rho: 0.01, MaxDelay: 0.01,
+			Driver: DriverSpec{Kind: DriveRandomWalk, Interval: 0.5},
+			Churn:  ChurnSpec{Kind: ChurnRotatingStar, Period: 1, Overlap: 0.25},
+		},
+		churnyConfig(21),
+	} {
+		s := New(cfg)
+		rpt := s.Run()
+		assertSkewInvariants(t, cfg, rpt)
+		// Messages still in flight at the horizon are neither delivered
+		// nor dropped; they live on currently present edges only.
+		inFlight := uint64(0)
+		for _, e := range s.Graph.CurrentEdges() {
+			inFlight += uint64(s.Net.InFlight(e))
+		}
+		ts := rpt.Transport
+		if ts.Sent != ts.Delivered+ts.Dropped+inFlight {
+			t.Fatalf("traffic not conserved: %+v with %d in flight", ts, inFlight)
+		}
+	}
+}

@@ -112,25 +112,21 @@ func TestResetClearsFaults(t *testing.T) {
 	}
 }
 
-// TestResetDuringCoalescedFlightsConservesAccounting is the regression
-// pinning Reset called while coalesced multi-value flights are in
-// flight: the flights (and their pooled value buffers) are discarded
-// cleanly, and post-reset value accounting — including the
-// values-not-messages Dropped counter — starts from zero and stays
-// conserved.
-func TestResetDuringCoalescedFlightsConservesAccounting(t *testing.T) {
+// TestResetDuringFlightsConservesAccounting is the regression pinning
+// Reset called while flights are in the air: the flights are discarded
+// cleanly, and post-reset accounting — the Dropped counter included —
+// starts from zero and stays conserved.
+func TestResetDuringFlightsConservesAccounting(t *testing.T) {
 	e := dyngraph.E(0, 1)
 	r := newRig(t, 2, []dyngraph.Edge{e}, FixedDelay(0.5), 1)
-	r.net.SetCoalescing(true)
-	// Two batches in flight: a 3-value batch 0->1 and a 2-value batch
-	// 1->0, neither delivered yet.
+	// Five messages in flight, both directions, none delivered yet.
 	r.net.Send(0, 1, 1)
 	r.net.Send(0, 1, 2)
 	r.net.Send(0, 1, 3)
 	r.net.Send(1, 0, 4)
 	r.net.Send(1, 0, 5)
 	if got := r.net.InFlight(e); got != 5 {
-		t.Fatalf("in flight = %d values, want 5", got)
+		t.Fatalf("in flight = %d messages, want 5", got)
 	}
 	r.en.Reset()
 	r.g.Reset(2, []dyngraph.Edge{e})
@@ -139,13 +135,12 @@ func TestResetDuringCoalescedFlightsConservesAccounting(t *testing.T) {
 		t.Fatalf("stats after mid-flight reset = %+v, want zero", s)
 	}
 	if got := r.net.InFlight(e); got != 0 {
-		t.Fatalf("in-flight values survived reset: %d", got)
+		t.Fatalf("in-flight messages survived reset: %d", got)
 	}
 
-	// A fresh coalesced batch goes up, the edge is cut mid-flight: the
-	// drop counter must count exactly the 2 values of the new batch —
-	// nothing left over from the 5 discarded pre-reset values.
-	r.net.SetCoalescing(true)
+	// Two fresh messages go up and the edge is cut mid-flight: the drop
+	// counter must count exactly those 2 — nothing left over from the 5
+	// discarded pre-reset flights.
 	r.net.Send(0, 1, 6)
 	r.net.Send(0, 1, 7)
 	r.en.Schedule(0.2, "cut", func() { r.g.Remove(r.en.Now(), e) })

@@ -15,27 +15,10 @@
 // Section 4 adversary, which charges asymmetric delays across the
 // lower-bound network's two chains.
 //
-// With coalescing enabled (SetCoalescing), values sent over the same
-// directed edge within one engine event are folded into a single pooled
-// multi-value flight: the batch shares one drawn delay and one delivery
-// event, capping delivery cost at one event per directed edge per tick
-// however many values a tick carries. A singleton batch is
-// indistinguishable from an uncoalesced send — same delay draw, same
-// delivery — which is what the sim harness's coalesced/uncoalesced
-// equivalence tests pin (the GCS algorithm sends at most one value per
-// directed edge per tick, so its batches are all singletons today; the
-// cap exists for multi-send workloads). Each layer owns its own
-// default: a raw Network starts with coalescing off, so tests and
-// adversarial schedules that construct one directly get the one-delivery
-// -per-Send semantics, while the sim harness — the layer that wires
-// production scenarios — switches it on for every run unless
-// Config.NoCoalesce opts out. Code that wants batching on a raw Network
-// must call SetCoalescing(true) itself.
-//
 // The send/deliver path is allocation-free in steady state: payloads are
 // typed float64 values (the only payload the GCS model carries — a
 // logical clock reading — so no boxing through an interface), in-flight
-// batches live in a pooled arena indexed by small integers, the per-edge
+// messages live in a pooled arena indexed by small integers, the per-edge
 // in-flight table and the per-node handler table are slice-backed, and
 // Broadcast reuses one neighbor buffer per network and skips the edge
 // presence check entirely (its targets come from the live adjacency).
@@ -51,16 +34,10 @@ import (
 
 // Message is one point-to-point payload in flight or delivered. Value is
 // the sender's logical clock reading — the model's only message content.
-// When coalescing folded several same-tick values into one delivery,
-// Values holds all of them (Value is Values[0], the first sent) and
-// aliases pooled storage: handlers must consume it before sending new
-// messages and must not retain it. Values is nil for singleton
-// deliveries.
 type Message struct {
 	From, To  int
 	Edge      dyngraph.Edge
 	Value     float64
-	Values    []float64
 	SentAt    des.Time
 	DeliverAt des.Time
 }
@@ -125,44 +102,30 @@ func FixedDelay(d float64) DelayFn {
 // wiring time) keeps the path allocation-free.
 type EdgeDelayFn func(from, to int) DelayFn
 
-// Stats counts transport activity over an execution. All counters count
-// logical values, not batches: a coalesced delivery of k values counts k
-// toward Delivered, so the traffic accounting of a coalesced execution
-// matches its uncoalesced counterpart.
+// Stats counts transport activity over an execution.
 type Stats struct {
-	// Sent counts values accepted for delivery.
+	// Sent counts messages accepted for delivery.
 	Sent uint64
-	// Delivered counts values handed to a receiver handler.
+	// Delivered counts messages handed to a receiver handler.
 	Delivered uint64
-	// Dropped counts in-flight values lost to edge removals.
+	// Dropped counts in-flight messages lost to edge removals.
 	Dropped uint64
 	// Refused counts sends attempted over absent edges.
 	Refused uint64
-	// Coalesced counts values folded into an already-open batch (a
-	// same-tick second send on a directed edge); each saved one delivery
-	// event. Always 0 with coalescing off.
+	// Coalesced is always 0: every message is delivered on its own. The
+	// field stays so that reports keep their field layout (report
+	// digests print every field).
 	Coalesced uint64
 }
 
-// flight is one in-flight batch: the delivery-event metadata plus the
-// values folded into it (vals[0] mirrors msg.Value). Flights live in the
-// Network's arena and are addressed by index, never by pointer, so
-// recycling them — value buffers included — costs nothing.
+// flight is one in-flight message plus its delivery-event metadata.
+// Flights live in the Network's arena and are addressed by index, never
+// by pointer, so recycling them costs nothing.
 type flight struct {
 	msg  Message
-	vals []float64
 	ev   des.EventRef
 	slot int32 // edge slot owning this flight
 	pos  int32 // index within the slot's in-flight list
-	dir  int8  // 0: sent U -> V, 1: sent V -> U
-}
-
-// slotState is the per-live-edge bookkeeping: the arena indices of the
-// flights in flight on the edge, plus, per direction, the flight (index
-// + 1; 0 = none) still accepting same-tick values while coalescing.
-type slotState struct {
-	flights []uint32
-	open    [2]uint32
 }
 
 // Network is the bounded-delay transport over one dynamic graph. It is
@@ -174,16 +137,15 @@ type Network struct {
 	delay    DelayFn
 	// mask, when non-nil, overrides delay per directed (from, to) pair.
 	mask EdgeDelayFn
-	// coalesce folds same-tick sends on a directed edge into one flight.
-	coalesce bool
 	// handlers is indexed by node id.
 	handlers []Handler
 	// edgeSlot assigns each edge currently carrying traffic a slot in
-	// slots. Removing an edge recycles its slot through freeSlots
-	// (keeping the list's capacity), so the table is bounded by the live
-	// edge count even when churn eventually touches every node pair.
+	// slots, which lists the arena indices of the edge's flights.
+	// Removing an edge recycles its slot through freeSlots (keeping the
+	// list's capacity), so the table is bounded by the live edge count
+	// even when churn eventually touches every node pair.
 	edgeSlot  map[dyngraph.Edge]int32
-	slots     []slotState
+	slots     [][]uint32
 	freeSlots []int32
 	// flights is the arena; freeFlights lists recycled indices.
 	flights     []flight
@@ -224,10 +186,9 @@ func New(en *des.Engine, g *dyngraph.Dynamic, delay DelayFn, maxDelay float64) *
 }
 
 // Reset drops all in-flight traffic and counters and installs a new
-// delay law, reusing the slot table, flight arena (value buffers
-// included), and handler table, so a rewired simulation's transport
-// allocates nothing in steady state. The delay mask is removed; the
-// coalescing setting is kept. Call it after the engine has been Reset —
+// delay law, reusing the slot table, flight arena, and handler table, so
+// a rewired simulation's transport allocates nothing in steady state.
+// The delay mask is removed. Call it after the engine has been Reset —
 // pending delivery events are already recycled, so flights are released
 // without cancelling them. Handlers registered for surviving node ids
 // stay registered; the table grows if the graph was Reset to more nodes.
@@ -244,8 +205,7 @@ func (n *Network) Reset(delay DelayFn, maxDelay float64) {
 	clear(n.edgeSlot)
 	n.freeSlots = n.freeSlots[:0]
 	for i := range n.slots {
-		n.slots[i].flights = n.slots[i].flights[:0]
-		n.slots[i].open = [2]uint32{}
+		n.slots[i] = n.slots[i][:0]
 		n.freeSlots = append(n.freeSlots, int32(i))
 	}
 	n.freeFlights = n.freeFlights[:0]
@@ -272,14 +232,8 @@ func (n *Network) MaxDelay() float64 { return n.maxDelay }
 // that message, a nil answer falls through to it. Masked delays are
 // subject to the same (0, maxDelay] validation as base delays, and
 // masked messages keep the usual in-flight semantics (in particular they
-// are still dropped if their edge disappears before delivery). With
-// coalescing, the mask is consulted once per batch (when the batch
-// opens).
+// are still dropped if their edge disappears before delivery).
 func (n *Network) SetDelayMask(mask EdgeDelayFn) { n.mask = mask }
-
-// SetCoalescing enables or disables same-tick batching of sends on a
-// directed edge. Changing the setting affects subsequent sends only.
-func (n *Network) SetCoalescing(on bool) { n.coalesce = on }
 
 // SetFaults installs (or, with nil, removes) a message-fault plan:
 // every send first draws a verdict from it — dropped messages count
@@ -287,10 +241,7 @@ func (n *Network) SetCoalescing(on bool) { n.coalesce = on }
 // toward Dropped (no edge removal occurred); duplicated messages send
 // a second flight with its own nominal delay; spiked messages charge a
 // delay beyond MaxDelay, exempt from the (0, maxDelay] validation.
-// Message faults are meant to run with coalescing off (the sim harness
-// enforces it): a verdict is drawn per send, and folding sends into an
-// open batch would let one verdict govern many values. Reset removes
-// the plan.
+// Reset removes the plan.
 func (n *Network) SetFaults(m *fault.Messages) { n.faults = m }
 
 // FaultStats returns the fault counters accumulated so far.
@@ -304,17 +255,13 @@ func (n *Network) Stats() Stats { return n.stats }
 // as delivered and discarded.
 func (n *Network) SetHandler(u int, h Handler) { n.handlers[u] = h }
 
-// InFlight returns the number of values currently in flight on e.
+// InFlight returns the number of messages currently in flight on e.
 func (n *Network) InFlight(e dyngraph.Edge) int {
 	slot, ok := n.edgeSlot[e]
 	if !ok {
 		return 0
 	}
-	total := 0
-	for _, fi := range n.slots[slot].flights {
-		total += len(n.flights[fi].vals)
-	}
-	return total
+	return len(n.slots[slot])
 }
 
 // Send transmits value from one endpoint of a present edge to the other.
@@ -358,23 +305,6 @@ func (n *Network) send(from, to int, e dyngraph.Edge, value float64) {
 func (n *Network) sendOne(from, to int, e dyngraph.Edge, value float64, spikedDelay float64) {
 	now := n.en.Now()
 	slot := n.slotFor(e)
-	sl := &n.slots[slot]
-	var dir int8
-	if from != e.U {
-		dir = 1
-	}
-	if n.coalesce {
-		if oi := sl.open[dir]; oi != 0 {
-			if f := &n.flights[oi-1]; f.msg.SentAt == now {
-				// Same tick, same directed edge: fold into the open batch.
-				f.vals = append(f.vals, value)
-				n.stats.Sent++
-				n.stats.Coalesced++
-				return
-			}
-			sl.open[dir] = 0
-		}
-	}
 	fi := n.allocFlight()
 	f := &n.flights[fi]
 	f.msg = Message{
@@ -384,7 +314,6 @@ func (n *Network) sendOne(from, to int, e dyngraph.Edge, value float64, spikedDe
 		Value:  value,
 		SentAt: now,
 	}
-	f.vals = append(f.vals[:0], value)
 	d := spikedDelay
 	if d == 0 {
 		delay := n.delay
@@ -401,12 +330,8 @@ func (n *Network) sendOne(from, to int, e dyngraph.Edge, value float64, spikedDe
 	f.msg.DeliverAt = now + d
 	f.ev = n.en.ScheduleArg(f.msg.DeliverAt, "transport.deliver", n.deliverFn, uint64(fi))
 	f.slot = slot
-	f.dir = dir
-	f.pos = int32(len(sl.flights))
-	sl.flights = append(sl.flights, fi)
-	if n.coalesce {
-		sl.open[dir] = fi + 1
-	}
+	f.pos = int32(len(n.slots[slot]))
+	n.slots[slot] = append(n.slots[slot], fi)
 	n.stats.Sent++
 }
 
@@ -453,48 +378,31 @@ func (n *Network) slotFor(e dyngraph.Edge) int32 {
 			n.freeSlots = n.freeSlots[:k-1]
 		} else {
 			slot = int32(len(n.slots))
-			n.slots = append(n.slots, slotState{})
+			n.slots = append(n.slots, nil)
 		}
 		n.edgeSlot[e] = slot
 	}
 	return slot
 }
 
-// deliver hands flight fi's batch to the destination handler and
-// recycles the flight. A singleton flight is released before the handler
-// runs, so the handler may send new messages that reuse it; a multi-value
-// flight is released after the handler returns, because the delivered
-// Message.Values aliases the flight's pooled buffer.
+// deliver hands flight fi's message to the destination handler and
+// recycles the flight. The flight is released before the handler runs,
+// so the handler may send new messages that reuse it.
 //
 //gcslint:zeroalloc
 func (n *Network) deliver(fi uint32) {
 	f := &n.flights[fi]
-	sl := &n.slots[f.slot]
-	if sl.open[f.dir] == fi+1 {
-		sl.open[f.dir] = 0
-	}
 	// Unlink from the edge's in-flight list: swap-remove, fixing the
 	// moved flight's position.
-	list := sl.flights
+	list := n.slots[f.slot]
 	last := len(list) - 1
 	moved := list[last]
 	list[f.pos] = moved
 	n.flights[moved].pos = f.pos
-	sl.flights = list[:last]
+	n.slots[f.slot] = list[:last]
 
 	msg := f.msg
-	k := len(f.vals)
-	n.stats.Delivered += uint64(k)
-	if k > 1 {
-		msg.Values = f.vals
-		if h := n.handlers[msg.To]; h != nil {
-			h(msg)
-		}
-		f = &n.flights[fi] // the handler may have grown the arena
-		f.ev = des.EventRef{}
-		n.freeFlights = append(n.freeFlights, fi)
-		return
-	}
+	n.stats.Delivered++
 	f.ev = des.EventRef{}
 	n.freeFlights = append(n.freeFlights, fi)
 	if h := n.handlers[msg.To]; h != nil {
@@ -507,26 +415,24 @@ func (n *Network) deliver(fi uint32) {
 // the same edge stay dropped.
 func (n *Network) EdgeAdded(t float64, e dyngraph.Edge) {}
 
-// EdgeRemoved implements dyngraph.Subscriber: every value in flight on
-// the removed edge is lost (the paper's model drops messages whose edge
-// disappears before delivery).
+// EdgeRemoved implements dyngraph.Subscriber: every message in flight
+// on the removed edge is lost (the paper's model drops messages whose
+// edge disappears before delivery).
 func (n *Network) EdgeRemoved(t float64, e dyngraph.Edge) {
 	slot, ok := n.edgeSlot[e]
 	if !ok {
 		return
 	}
-	sl := &n.slots[slot]
-	for _, fi := range sl.flights {
+	for _, fi := range n.slots[slot] {
 		f := &n.flights[fi]
 		n.en.Cancel(f.ev)
 		f.ev = des.EventRef{}
-		n.stats.Dropped += uint64(len(f.vals))
+		n.stats.Dropped++
 		n.freeFlights = append(n.freeFlights, fi)
 	}
 	// Recycle the slot: all its flights are gone, and the edge must be
 	// re-added before it can carry traffic again.
-	sl.flights = sl.flights[:0]
-	sl.open = [2]uint32{}
+	n.slots[slot] = n.slots[slot][:0]
 	delete(n.edgeSlot, e)
 	n.freeSlots = append(n.freeSlots, slot)
 }

@@ -306,63 +306,40 @@ func TestMaskedSendSteadyStateDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestMultiValueDeliveryGrowsArenaDuringHandler is the regression test
-// for the multi-value aliasing hazard in deliver: Message.Values aliases
-// the pooled flight's value buffer while the handler runs, and the
-// flight is only released after the handler returns. A handler that
-// re-broadcasts during a multi-value delivery allocates fresh flights —
-// growing (and possibly reallocating) the flight arena — and must still
-// observe its own batch uncorrupted, with every counter conserved.
-func TestMultiValueDeliveryGrowsArenaDuringHandler(t *testing.T) {
+// TestDeliveryHandlerMaySendWhileArenaGrows pins deliver's release
+// order: the flight is recycled before the handler runs, so a handler
+// that sends during delivery reuses it and grows the flight arena past
+// its pre-delivery size, while still seeing its own message intact and
+// every counter conserved.
+func TestDeliveryHandlerMaySendWhileArenaGrows(t *testing.T) {
 	const fanout = 9
-	const batch = 8
 	edges := []dyngraph.Edge{dyngraph.E(0, 1)}
 	for v := 2; v < 2+fanout; v++ {
 		edges = append(edges, dyngraph.E(1, v))
 	}
 	r := newRig(t, 2+fanout, edges, FixedDelay(0.25), 1)
-	r.net.SetCoalescing(true)
 
-	sawBatch := false
+	delivered := 0
 	r.net.SetHandler(1, func(m Message) {
-		if m.Values == nil {
-			return
-		}
-		sawBatch = true
-		// Re-broadcast while the delivered Values still aliases the
-		// pooled buffer: one fresh flight per spoke edge, enough to
-		// force the flight arena to grow past its pre-delivery capacity.
+		delivered++
+		// One fresh flight per spoke edge, enough to force the flight
+		// arena to grow past its pre-delivery capacity.
 		for v := 2; v < 2+fanout; v++ {
 			if !r.net.Send(1, v, 100+float64(v)) {
 				t.Errorf("re-broadcast to %d refused", v)
 			}
 		}
-		if len(m.Values) != batch {
-			t.Errorf("batch has %d values, want %d", len(m.Values), batch)
-		}
-		for i, got := range m.Values {
-			if got != float64(i) {
-				t.Errorf("Values[%d] = %v, want %v (corrupted during handler)", i, got, float64(i))
-			}
-		}
-		if m.Value != m.Values[0] {
-			t.Errorf("Value = %v, want Values[0] = %v", m.Value, m.Values[0])
+		if m.From != 0 || m.To != 1 || m.Value != 7 {
+			t.Errorf("message corrupted during handler: %+v", m)
 		}
 	})
-
-	// One engine event sends the whole batch, so coalescing folds it
-	// into a single multi-value flight.
-	r.en.Schedule(0, "batch", func() {
-		for i := 0; i < batch; i++ {
-			if !r.net.Send(0, 1, float64(i)) {
-				t.Errorf("send %d refused", i)
-			}
-		}
-	})
+	if !r.net.Send(0, 1, 7) {
+		t.Fatal("send refused")
+	}
 	r.en.Run(5)
 
-	if !sawBatch {
-		t.Fatal("no multi-value delivery observed; coalescing not exercised")
+	if delivered != 1 {
+		t.Fatalf("node 1 saw %d deliveries, want 1", delivered)
 	}
 	for v := 2; v < 2+fanout; v++ {
 		if len(r.got[v]) != 1 || r.got[v][0].Value != 100+float64(v) {
@@ -370,7 +347,7 @@ func TestMultiValueDeliveryGrowsArenaDuringHandler(t *testing.T) {
 		}
 	}
 	s := r.net.Stats()
-	wantSent := uint64(batch + fanout)
+	wantSent := uint64(1 + fanout)
 	if s.Sent != wantSent || s.Delivered != wantSent || s.Dropped != 0 {
 		t.Fatalf("stats = %+v, want Sent = Delivered = %d, Dropped = 0", s, wantSent)
 	}
@@ -400,5 +377,44 @@ func TestUniformDelayInRespectsFloor(t *testing.T) {
 		if d <= 0.1 || d > 0.25 {
 			t.Fatalf("draw %d: delay %v outside (0.1, 0.25]", i, d)
 		}
+	}
+}
+
+// TestNetworkResetReusesState: after Reset the network behaves like a
+// fresh one (clean stats, no in-flight traffic, mask removed) while
+// reusing its arenas, and handlers stay registered.
+func TestNetworkResetReusesState(t *testing.T) {
+	e := dyngraph.E(0, 1)
+	en := des.NewEngine()
+	g := dyngraph.NewDynamic(2, []dyngraph.Edge{e})
+	net := New(en, g, FixedDelay(0.5), 1)
+	var got []Message
+	net.SetHandler(1, func(m Message) { got = append(got, m) })
+	net.SetDelayMask(func(from, to int) DelayFn { return FixedDelay(0.9) })
+	for i := 0; i < 8; i++ {
+		net.Send(0, 1, float64(i))
+	}
+	// Reset mid-flight: the engine drops the delivery events, the network
+	// drops the flights.
+	en.Reset()
+	g.Reset(2, []dyngraph.Edge{e})
+	net.Reset(FixedDelay(0.25), 1)
+	if s := net.Stats(); s != (Stats{}) {
+		t.Fatalf("stats after reset = %+v, want zero", s)
+	}
+	if net.InFlight(e) != 0 {
+		t.Fatalf("in-flight traffic survived reset: %d", net.InFlight(e))
+	}
+	net.Send(0, 1, 42)
+	en.Run(1)
+	if len(got) != 1 || got[0].Value != 42 {
+		t.Fatalf("post-reset delivery = %v, want [42]", got)
+	}
+	// The new base delay applies and the old mask is gone.
+	if d := got[0].DeliverAt - got[0].SentAt; d != 0.25 {
+		t.Fatalf("post-reset delay = %v, want fresh base 0.25", d)
+	}
+	if s := net.Stats(); s.Sent != 1 || s.Delivered != 1 {
+		t.Fatalf("post-reset stats = %+v", s)
 	}
 }
