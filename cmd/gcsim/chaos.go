@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -119,10 +117,6 @@ func runChaos(args []string) {
 			row.RateExcursions, row.LastFaultT, rc)
 	}
 
-	csvPath := filepath.Join(*out, "chaos_grid.csv")
-	if err := os.WriteFile(csvPath, []byte(csv.String()), 0o644); err != nil {
-		fail("chaos: %v", err)
-	}
 	report := struct {
 		Seed       uint64     `json:"seed"`
 		N          int        `json:"n"`
@@ -132,15 +126,8 @@ func runChaos(args []string) {
 		ElapsedSec float64    `json:"elapsed_sec"`
 		Cells      []chaosRow `json:"cells"`
 	}{*seed, *n, *horizon, *parallel, w, elapsed.Seconds(), rows}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fail("chaos: %v", err)
-	}
-	jsonPath := filepath.Join(*out, "chaos_report.json")
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		fail("chaos: %v", err)
-	}
-	fmt.Printf("wrote %s and %s (%d cells in %.2fs)\n", csvPath, jsonPath, len(rows), elapsed.Seconds())
+	writeArtifacts("chaos", *out, "chaos_grid.csv", csv.String(), report,
+		fmt.Sprintf(" (%d cells in %.2fs)", len(rows), elapsed.Seconds()))
 
 	if failures > 0 {
 		fail("chaos: %d cell(s) failed the gate (no faults injected, or no re-convergence)", failures)

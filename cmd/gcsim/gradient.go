@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"gcs/internal/sim"
@@ -54,7 +52,8 @@ func runGradient(args []string) {
 		workers = fs.Int("workers", 0, "parallel sweep workers (0 = GOMAXPROCS)")
 		out     = fs.String("out", ".", "directory for gradient_skew.csv and gradient_report.json")
 	)
-	ff := addFaultFlags(fs)
+	var faults sim.FaultSpec
+	addFaultFlags(fs, &faults)
 	fs.Parse(args)
 	if *n < 4 {
 		fail("gradient: -n must be at least 4")
@@ -63,7 +62,6 @@ func runGradient(args []string) {
 		fail("gradient: %v", err)
 	}
 
-	gw := gridW(*n)
 	topologies := []struct {
 		name string
 		spec sim.TopologySpec
@@ -71,7 +69,7 @@ func runGradient(args []string) {
 	}{
 		{"Line", sim.TopologySpec{Kind: sim.TopoLine}, sim.ChurnSpec{}},
 		{"Ring", sim.TopologySpec{Kind: sim.TopoRing}, sim.ChurnSpec{}},
-		{"Grid", sim.TopologySpec{Kind: sim.TopoGrid, W: gw, H: *n / gw}, sim.ChurnSpec{}},
+		{"Grid", sim.SquareGrid(*n), sim.ChurnSpec{}},
 		{"Ring+Volatile", sim.TopologySpec{Kind: sim.TopoRing}, sim.ChurnSpec{
 			Kind: sim.ChurnVolatile, Lifetime: 1.5, Absence: 1.0, ExtraEdges: *n / 2,
 		}},
@@ -98,7 +96,7 @@ func runGradient(args []string) {
 				Churn:         topo.ch,
 				SampleEvery:   *sample,
 				CheckGradient: true,
-				Faults:        ff.spec(),
+				Faults:        faults,
 			}
 			cfg.Node.BeaconEvery = *beacon
 			cells = append(cells, sim.SweepCell{
@@ -177,10 +175,6 @@ func runGradient(args []string) {
 			cell.PerDistanceSkew[worstD], cell.PerDistanceBound[worstD], cell.WorstRatio, cell.Epochs)
 	}
 
-	csvPath := filepath.Join(*out, "gradient_skew.csv")
-	if err := os.WriteFile(csvPath, []byte(csv.String()), 0o644); err != nil {
-		fail("gradient: %v", err)
-	}
 	report := struct {
 		Seed        uint64         `json:"seed"`
 		N           int            `json:"n"`
@@ -191,30 +185,10 @@ func runGradient(args []string) {
 		SampleEvery float64        `json:"sample_every"`
 		Cells       []gradientCell `json:"cells"`
 	}{*seed, *n, *horizon, *rho, *delay, *beacon, *sample, gcells}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fail("gradient: %v", err)
-	}
-	jsonPath := filepath.Join(*out, "gradient_report.json")
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		fail("gradient: %v", err)
-	}
-	fmt.Printf("wrote %s and %s\n", csvPath, jsonPath)
+	writeArtifacts("gradient", *out, "gradient_skew.csv", csv.String(), report, "")
 
 	if violations > 0 {
 		fail("gradient: %d scenario(s) exceeded GradientBound(d)", violations)
 	}
 	fmt.Println("ok: per-distance local skew within GradientBound(d) on every scenario")
-}
-
-// gridW returns the largest divisor of n not exceeding its square root,
-// giving the most square WxH factorization of the grid scenario.
-func gridW(n int) int {
-	w := 1
-	for d := 2; d*d <= n; d++ {
-		if n%d == 0 {
-			w = d
-		}
-	}
-	return w
 }

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"time"
@@ -30,7 +28,6 @@ type sweepRow struct {
 	Sent           uint64  `json:"sent"`
 	Delivered      uint64  `json:"delivered"`
 	Dropped        uint64  `json:"dropped"`
-	Coalesced      uint64  `json:"coalesced"`
 	EventsExecuted uint64  `json:"events_executed"`
 	// Faults counts injected disturbances; ReconvergenceTime is -1 when
 	// the cell never re-entered its bound (JSON has no +Inf). Both are
@@ -73,7 +70,8 @@ func runSweep(args []string) {
 		daemon   = fs.String("daemon", "", "submit the sweep to a gcsimd instance at this base URL instead of running locally")
 		out      = fs.String("out", ".", "directory for sweep_results.csv and sweep_report.json")
 	)
-	ff := addFaultFlags(fs)
+	var faults sim.FaultSpec
+	addFaultFlags(fs, &faults)
 	fs.Parse(args)
 
 	ns, err := parseNs(*nsFlag)
@@ -98,7 +96,7 @@ func runSweep(args []string) {
 		Interval: *interval,
 		Parallel: *parallel,
 		Shards:   *shards,
-		Faults:   ff.spec(),
+		Faults:   faults,
 	}
 	if err := spec.Validate(); err != nil {
 		fail("sweep: %v", err)
@@ -127,11 +125,11 @@ func runSweep(args []string) {
 	elapsed := time.Since(start)
 
 	var csv strings.Builder
-	csv.WriteString("scenario,topology,driver,churn,n,seed,max_global_skew,final_skew,bound,jumps,sent,delivered,dropped,coalesced,events,faults,reconvergence_time,violated\n")
+	csv.WriteString("scenario,topology,driver,churn,n,seed,max_global_skew,final_skew,bound,jumps,sent,delivered,dropped,events,faults,reconvergence_time,violated\n")
 	rows := make([]sweepRow, 0, len(results))
 	violations := 0
-	fmt.Printf("%-40s %12s %12s %10s %12s %10s\n",
-		"scenario", "maxSkew", "bound", "jumps", "events", "coalesced")
+	fmt.Printf("%-40s %12s %12s %10s %12s\n",
+		"scenario", "maxSkew", "bound", "jumps", "events")
 	for _, res := range results {
 		rpt := res.Report
 		topoName := res.Cfg.Topology.Kind.String()
@@ -152,7 +150,6 @@ func runSweep(args []string) {
 			Sent:           rpt.Transport.Sent,
 			Delivered:      rpt.Transport.Delivered,
 			Dropped:        rpt.Transport.Dropped,
-			Coalesced:      rpt.Transport.Coalesced,
 			EventsExecuted: rpt.EventsExecuted,
 			Faults:         rpt.Faults.Total(),
 			Violated:       rpt.MaxGlobalSkew > rpt.Bound,
@@ -170,19 +167,15 @@ func runSweep(args []string) {
 			violations++
 		}
 		rows = append(rows, row)
-		fmt.Fprintf(&csv, "%s,%s,%s,%s,%d,%d,%g,%g,%g,%d,%d,%d,%d,%d,%d,%d,%g,%t\n",
+		fmt.Fprintf(&csv, "%s,%s,%s,%s,%d,%d,%g,%g,%g,%d,%d,%d,%d,%d,%d,%g,%t\n",
 			row.Scenario, row.Topology, row.Driver, row.Churn, row.N, row.Seed,
 			row.MaxGlobalSkew, row.FinalSkew, row.Bound, row.Jumps,
-			row.Sent, row.Delivered, row.Dropped, row.Coalesced, row.EventsExecuted,
+			row.Sent, row.Delivered, row.Dropped, row.EventsExecuted,
 			row.Faults, row.ReconvergenceTime, row.Violated)
-		fmt.Printf("%-40s %12.6f %12.4f %10d %12d %10d\n",
-			row.Scenario, row.MaxGlobalSkew, row.Bound, row.Jumps, row.EventsExecuted, row.Coalesced)
+		fmt.Printf("%-40s %12.6f %12.4f %10d %12d\n",
+			row.Scenario, row.MaxGlobalSkew, row.Bound, row.Jumps, row.EventsExecuted)
 	}
 
-	csvPath := filepath.Join(*out, "sweep_results.csv")
-	if err := os.WriteFile(csvPath, []byte(csv.String()), 0o644); err != nil {
-		fail("sweep: %v", err)
-	}
 	report := struct {
 		Seed        uint64     `json:"seed"`
 		Horizon     float64    `json:"horizon"`
@@ -194,15 +187,8 @@ func runSweep(args []string) {
 		ElapsedSec  float64    `json:"elapsed_sec"`
 		Cells       []sweepRow `json:"cells"`
 	}{*seed, *horizon, *rho, *delay, *beacon, *sample, w, elapsed.Seconds(), rows}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fail("sweep: %v", err)
-	}
-	jsonPath := filepath.Join(*out, "sweep_report.json")
-	if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-		fail("sweep: %v", err)
-	}
-	fmt.Printf("wrote %s and %s (%d cells in %.2fs)\n", csvPath, jsonPath, len(rows), elapsed.Seconds())
+	writeArtifacts("sweep", *out, "sweep_results.csv", csv.String(), report,
+		fmt.Sprintf(" (%d cells in %.2fs)", len(rows), elapsed.Seconds()))
 
 	if violations > 0 {
 		fail("sweep: %d cell(s) exceeded the analytic global skew bound (or, with faults, never re-converged)", violations)

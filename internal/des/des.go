@@ -108,6 +108,18 @@ type Engine struct {
 	trace TraceFn
 }
 
+// Scheduler is the seam the shared scenario processes (rate drivers and
+// fault schedules) run on: a clock and absolute-time scheduling. *Engine
+// implements it directly; the real-time runtime implements it per node
+// with wall timers. Implementations that cannot cancel return the zero
+// EventRef.
+type Scheduler interface {
+	Now() Time
+	ScheduleArg(t Time, label string, fn ArgHandler, arg uint64) EventRef
+}
+
+var _ Scheduler = (*Engine)(nil)
+
 // NewEngine returns an engine positioned at time 0 with an empty queue.
 func NewEngine() *Engine {
 	return &Engine{}

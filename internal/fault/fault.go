@@ -272,9 +272,10 @@ func (m *Messages) Draw(from int, now float64, st *Stats) Verdict {
 	return v
 }
 
-// Hooks are the harness callbacks the Injector drives. All three run
-// inside engine events — serial events or parallel global phases — so
-// they may touch node and clock state freely.
+// Hooks are the harness callbacks the Injector drives. Each runs inside
+// an event of the node's own scheduler — a serial event, a parallel
+// global phase, or the node's real-time host goroutine — so it may
+// touch that node's state freely.
 type Hooks struct {
 	// Crash takes node i offline.
 	Crash func(i int)
@@ -286,19 +287,21 @@ type Hooks struct {
 }
 
 // Injector drives the node-level fault schedules — crash-stop /
-// crash-recover and hardware-rate excursions — as events on the
-// harness's engine (the serial engine, or the parallel coordinator's
-// global engine, whose events run with every shard barriered). Each
-// node's schedule comes from its own forked streams, so schedules are
-// independent of each other and of everything else in the run. An
-// Injector is reusable: Wire reseeds it in place.
+// crash-recover and hardware-rate excursions — as events on each node's
+// scheduler (the serial engine, the parallel coordinator's global
+// engine, whose events run with every shard barriered, or a real-time
+// host). Each node's schedule comes from its own forked streams and
+// only touches that node's entries, so schedules are independent of
+// each other and of everything else in the run, and nodes on different
+// goroutines never share injector state. An Injector is reusable: Wire
+// reseeds it in place.
 type Injector struct {
 	spec  Spec
 	rho   float64
 	n     int
 	hooks Hooks
-	en    *des.Engine
-	stats Stats
+	sched func(i int) des.Scheduler
+	stats []Stats
 	down  []bool
 
 	crashRands []des.Rand
@@ -325,16 +328,18 @@ func (inj *Injector) Wire(spec Spec, n int, rho float64, root *des.Rand, hooks H
 	inj.rho = rho
 	inj.n = n
 	inj.hooks = hooks
-	inj.stats = Stats{}
 	if cap(inj.down) < n {
 		inj.down = make([]bool, n)
+		inj.stats = make([]Stats, n)
 		inj.crashRands = make([]des.Rand, n)
 		inj.rateRands = make([]des.Rand, n)
 	} else {
 		inj.down = inj.down[:n]
+		inj.stats = inj.stats[:n]
 		inj.crashRands = inj.crashRands[:n]
 		inj.rateRands = inj.rateRands[:n]
 		clear(inj.down)
+		clear(inj.stats)
 	}
 	var crashRoot, rateRoot des.Rand
 	root.ForkInto(2, &crashRoot)
@@ -345,66 +350,80 @@ func (inj *Injector) Wire(spec Spec, n int, rho float64, root *des.Rand, hooks H
 	}
 }
 
-// Install schedules each node's first crash and excursion onset on en.
-// Call once per run, with the engine at time 0.
-func (inj *Injector) Install(en *des.Engine) {
-	inj.en = en
+// Install schedules each node's first crash and excursion onset on
+// sched(i), node i's scheduler, which then runs all of node i's fault
+// events. Call once per run, with every scheduler at time 0. Events are
+// scheduled at absolute times, so a node's schedule does not depend on
+// how its scheduler rounds relative offsets.
+func (inj *Injector) Install(sched func(i int) des.Scheduler) {
+	inj.sched = sched
 	if inj.spec.CrashEvery > 0 {
 		for i := 0; i < inj.n; i++ {
 			if t := inj.crashRands[i].Exp(inj.spec.CrashEvery); t <= inj.spec.Until {
-				en.ScheduleArg(t, "fault.crash", inj.crashFn, uint64(i))
+				sched(i).ScheduleArg(t, "fault.crash", inj.crashFn, uint64(i))
 			}
 		}
 	}
 	if inj.spec.RateExcursionEvery > 0 {
 		for i := 0; i < inj.n; i++ {
 			if t := inj.rateRands[i].Exp(inj.spec.RateExcursionEvery); t <= inj.spec.Until {
-				en.ScheduleArg(t, "fault.rate", inj.excFn, uint64(i))
+				sched(i).ScheduleArg(t, "fault.rate", inj.excFn, uint64(i))
 			}
 		}
 	}
 }
 
-// Down returns the live down-node mask, indexed by node. The harness
-// aliases it to exclude crashed nodes from skew sampling; all writes
-// happen inside engine events, never concurrently with reads.
+// Down returns the live down-node mask, indexed by node. The DES
+// harnesses alias it to exclude crashed nodes from skew sampling; all
+// writes happen inside engine events, never concurrently with reads.
 func (inj *Injector) Down() []bool { return inj.down }
 
-// Stats returns the counters accumulated so far.
-func (inj *Injector) Stats() Stats { return inj.stats }
+// Stats returns the counters accumulated so far, merged over nodes.
+// With schedulers on separate goroutines, call it only once they have
+// stopped.
+func (inj *Injector) Stats() Stats {
+	var st Stats
+	for i := range inj.stats {
+		st.Merge(inj.stats[i])
+	}
+	return st
+}
 
 func (inj *Injector) crash(i int) {
-	now := inj.en.Now()
+	sched, st := inj.sched(i), &inj.stats[i]
+	now := sched.Now()
 	inj.down[i] = true
-	inj.stats.Crashes++
-	inj.stats.note(now)
+	st.Crashes++
+	st.note(now)
 	inj.hooks.Crash(i)
 	if inj.spec.CrashStop {
 		return
 	}
 	// The recovery concludes this crash, so it runs even past Until; only
 	// fresh onsets are clamped to the injection window.
-	inj.en.ScheduleArg(now+inj.crashRands[i].Exp(inj.spec.CrashDowntime), "fault.recover", inj.recoverFn, uint64(i))
+	sched.ScheduleArg(now+inj.crashRands[i].Exp(inj.spec.CrashDowntime), "fault.recover", inj.recoverFn, uint64(i))
 }
 
 func (inj *Injector) recoverNode(i int) {
-	now := inj.en.Now()
+	sched, st := inj.sched(i), &inj.stats[i]
+	now := sched.Now()
 	inj.down[i] = false
-	inj.stats.Recoveries++
+	st.Recoveries++
 	// Rejoining with a stale clock is itself a disturbance: re-convergence
 	// is measured from the rejoin, not from the crash that caused it.
-	inj.stats.note(now)
+	st.note(now)
 	inj.hooks.Recover(i)
 	if t := now + inj.crashRands[i].Exp(inj.spec.CrashEvery); t <= inj.spec.Until {
-		inj.en.ScheduleArg(t, "fault.crash", inj.crashFn, uint64(i))
+		sched.ScheduleArg(t, "fault.crash", inj.crashFn, uint64(i))
 	}
 }
 
 func (inj *Injector) excurse(i int) {
-	now := inj.en.Now()
+	sched, st := inj.sched(i), &inj.stats[i]
+	now := sched.Now()
 	r := &inj.rateRands[i]
-	inj.stats.RateExcursions++
-	inj.stats.note(now)
+	st.RateExcursions++
+	st.note(now)
 	// 1 - Float64() is in (0, 1], so mag is in (1, Factor]: the rate is
 	// strictly outside the [1-rho, 1+rho] drift band the paper assumes.
 	mag := 1 + (inj.spec.RateExcursionFactor-1)*(1-r.Float64())
@@ -416,16 +435,17 @@ func (inj *Injector) excurse(i int) {
 		}
 	}
 	inj.hooks.SetRate(i, rate)
-	inj.en.ScheduleArg(now+r.Exp(inj.spec.RateExcursionFor), "fault.rate.end", inj.excEndFn, uint64(i))
+	sched.ScheduleArg(now+r.Exp(inj.spec.RateExcursionFor), "fault.rate.end", inj.excEndFn, uint64(i))
 }
 
 func (inj *Injector) excurseEnd(i int) {
-	now := inj.en.Now()
+	sched := inj.sched(i)
+	now := sched.Now()
 	// Restoring the nominal rate perturbs the clock one last time; the
 	// scenario's driver reasserts its own in-band rate at its next step.
 	inj.hooks.SetRate(i, 1)
-	inj.stats.note(now)
+	inj.stats[i].note(now)
 	if t := now + inj.rateRands[i].Exp(inj.spec.RateExcursionEvery); t <= inj.spec.Until {
-		inj.en.ScheduleArg(t, "fault.rate", inj.excFn, uint64(i))
+		sched.ScheduleArg(t, "fault.rate", inj.excFn, uint64(i))
 	}
 }

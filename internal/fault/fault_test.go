@@ -178,7 +178,7 @@ func runInjector(spec Spec, n int, horizon float64, seed uint64) ([]injEvent, St
 	}
 	root := des.NewRand(seed)
 	inj.Wire(spec, n, 0.05, root, hooks)
-	inj.Install(en)
+	inj.Install(func(int) des.Scheduler { return en })
 	en.Run(horizon)
 	down := make([]bool, n)
 	copy(down, inj.Down())
@@ -249,7 +249,7 @@ func TestInjectorRewireResets(t *testing.T) {
 		en.Reset()
 		root := des.NewRand(3)
 		inj.Wire(spec, 6, 0.05, root, hooks)
-		inj.Install(en)
+		inj.Install(func(int) des.Scheduler { return en })
 		en.Run(20)
 		if got := inj.Stats(); got != first {
 			t.Fatalf("run %d diverged: %+v vs %+v", run, got, first)

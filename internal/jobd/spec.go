@@ -147,12 +147,12 @@ func (s SweepSpec) Cells() ([]sim.SweepCell, error) {
 						Workers:     1,
 					}
 					cfg.Node.BeaconEvery = s.Beacon
-					drv, err := ParseDriver(drvName, s.Interval)
+					drv, err := sim.ParseDriver(drvName, s.Interval)
 					if err != nil {
 						return nil, err
 					}
 					cfg.Driver = drv
-					churn, err := ParseChurn(churnName, n)
+					churn, err := sim.ParseChurn(churnName, n)
 					if err != nil {
 						return nil, err
 					}
@@ -162,7 +162,7 @@ func (s SweepSpec) Cells() ([]sim.SweepCell, error) {
 					if star {
 						label = "-"
 					} else {
-						topo, err := ParseTopology(topoName, n)
+						topo, err := sim.ParseTopology(topoName, n)
 						if err != nil {
 							return nil, err
 						}
@@ -191,64 +191,4 @@ func (s SweepSpec) Validate() error {
 		}
 	}
 	return nil
-}
-
-// ParseTopology maps a topology name to its spec; grid uses the most
-// square factorization of n.
-func ParseTopology(name string, n int) (sim.TopologySpec, error) {
-	switch name {
-	case "line":
-		return sim.TopologySpec{Kind: sim.TopoLine}, nil
-	case "ring":
-		return sim.TopologySpec{Kind: sim.TopoRing}, nil
-	case "star":
-		return sim.TopologySpec{Kind: sim.TopoStar}, nil
-	case "grid":
-		w := gridW(n)
-		return sim.TopologySpec{Kind: sim.TopoGrid, W: w, H: n / w}, nil
-	case "complete":
-		return sim.TopologySpec{Kind: sim.TopoComplete}, nil
-	}
-	return sim.TopologySpec{}, fmt.Errorf("jobd: unknown topology %q", name)
-}
-
-// ParseDriver maps a driver name to its spec.
-func ParseDriver(name string, interval float64) (sim.DriverSpec, error) {
-	switch name {
-	case "constant":
-		return sim.DriverSpec{Kind: sim.DriveConstant, Interval: interval}, nil
-	case "randomwalk":
-		return sim.DriverSpec{Kind: sim.DriveRandomWalk, Interval: interval}, nil
-	case "bangbang":
-		return sim.DriverSpec{Kind: sim.DriveBangBang, Interval: interval}, nil
-	}
-	return sim.DriverSpec{}, fmt.Errorf("jobd: unknown driver %q", name)
-}
-
-// ParseChurn maps a churn name to its spec, scaling the volatile
-// candidate pool with n.
-func ParseChurn(name string, n int) (sim.ChurnSpec, error) {
-	switch name {
-	case "none":
-		return sim.ChurnSpec{}, nil
-	case "volatile":
-		return sim.ChurnSpec{
-			Kind: sim.ChurnVolatile, Lifetime: 1.5, Absence: 1.0, ExtraEdges: n / 2,
-		}, nil
-	case "rotatingstar":
-		return sim.ChurnSpec{Kind: sim.ChurnRotatingStar, Period: 2, Overlap: 0.5}, nil
-	}
-	return sim.ChurnSpec{}, fmt.Errorf("jobd: unknown churn %q", name)
-}
-
-// gridW returns the largest divisor of n not exceeding its square root,
-// giving the most square WxH factorization of the grid scenario.
-func gridW(n int) int {
-	w := 1
-	for d := 2; d*d <= n; d++ {
-		if n%d == 0 {
-			w = d
-		}
-	}
-	return w
 }

@@ -117,3 +117,47 @@ func TestCrossHarnessValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestScheduleParity pins that rt runs the DES's rate drivers and fault
+// schedules draw for draw: the same config through sim.Run and rt.Run
+// must crash, recover and excurse the same number of times and visit
+// the same extreme hardware rates. Only the fault times may differ, by
+// the nanosecond rounding of rt's wall timers.
+func TestScheduleParity(t *testing.T) {
+	drivers := []sim.DriverSpec{
+		{Kind: sim.DriveConstant},
+		{Kind: sim.DriveBangBang},
+		{Kind: sim.DriveRandomWalk, Interval: 0.7},
+	}
+	for seed := uint64(1); seed <= 12; seed++ {
+		for _, drv := range drivers {
+			cfg := sim.Config{
+				N: 10, Seed: seed, Horizon: 12,
+				Topology: sim.TopologySpec{Kind: sim.TopoRing},
+				Driver:   drv,
+			}
+			if seed%2 == 0 {
+				cfg.Faults = sim.FaultSpec{CrashEvery: 3, CrashDowntime: 0.5, RateExcursionEvery: 2}
+			}
+			desRep, err := sim.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rtRep := runBubble(t, cfg)
+			d, r := desRep.Faults, rtRep.Faults
+			if d.Crashes != r.Crashes || d.Recoveries != r.Recoveries || d.RateExcursions != r.RateExcursions {
+				t.Errorf("seed %d %v: fault counts differ: des %+v, rt %+v", seed, drv.Kind, d, r)
+			}
+			if math.Abs(d.LastFaultT-r.LastFaultT) > 1e-6 {
+				t.Errorf("seed %d %v: last fault at des %v, rt %v", seed, drv.Kind, d.LastFaultT, r.LastFaultT)
+			}
+			if desRep.MinRateSeen != rtRep.MinRateSeen || desRep.MaxRateSeen != rtRep.MaxRateSeen {
+				t.Errorf("seed %d %v: rates seen des [%v, %v], rt [%v, %v]", seed, drv.Kind,
+					desRep.MinRateSeen, desRep.MaxRateSeen, rtRep.MinRateSeen, rtRep.MaxRateSeen)
+			}
+			if seed%2 == 0 && d.Crashes == 0 {
+				t.Errorf("seed %d %v: faulted config injected no crash", seed, drv.Kind)
+			}
+		}
+	}
+}

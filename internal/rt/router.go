@@ -164,7 +164,7 @@ func (rt *Router) send(from, to int, value float64) {
 	h := rt.r.hosts[from]
 	var v fault.Verdict
 	if rt.faults != nil {
-		v = rt.faults.Draw(from, rt.r.simNow(), &h.fstats)
+		v = rt.faults.Draw(from, rt.r.simNow(), &h.msgFaults)
 	}
 	if v.Drop {
 		rt.sent.Add(1)

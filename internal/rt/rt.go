@@ -20,7 +20,10 @@
 //     executions; a buffered channel feeds them to the node's
 //     goroutine. Everything that touches gcs.Node state — timer
 //     firings, deliveries, fault injections — is enqueued and runs
-//     under the host lock on the host's goroutine.
+//     under the host lock on the host's goroutine. The host is also the
+//     node's des.Scheduler, so the DES harness's rate driver
+//     (sim.Driver) and fault schedules (fault.Injector) run on it
+//     unchanged, with the same draws in the same order.
 //   - DriftClock (clock.go): the node's hardware clock, a
 //     piecewise-linear function of wall time with rate in
 //     [1-rho, 1+rho] (or outside it, under rate-excursion faults).
@@ -55,8 +58,7 @@ const samplePhase = 0.382
 // queue, with a mutex held around each event so the sampler can take
 // consistent off-goroutine readings between events.
 type host struct {
-	r  *Runtime
-	id int
+	r *Runtime
 
 	mu     sync.Mutex
 	events chan func()
@@ -64,23 +66,28 @@ type host struct {
 	clk  *DriftClock
 	node *gcs.Node
 
-	// Per-node PRNG streams, forked like the parallel DES harness's so
-	// every draw sequence depends only on this node's own event order.
-	delayRand des.Rand // message delays (router, sender-side)
-	driveRand des.Rand // rate-driver draws
-	crashRand des.Rand // crash/recover schedule
-	rateRand  des.Rand // rate-excursion schedule
-	fstats    fault.Stats
+	// delayRand draws message delays (router, sender-side), forked like
+	// the parallel DES harness's so the draw sequence depends only on
+	// this node's own event order.
+	delayRand des.Rand
+	// msgFaults counts the message faults drawn for this node's sends.
+	msgFaults fault.Stats
 
 	sendBuf []int // reusable broadcast fan-out buffer
+}
 
-	high      bool // BangBang driver phase
-	excursion bool // rate-excursion chain phase (inside an excursion)
+var _ des.Scheduler = (*host)(nil)
 
-	// Reusable chain timers: each drives a self-rescheduling event chain
-	// (driver steps; crash/recover; excursion start/end), so the callback
-	// is fixed and the timer is re-armed in place.
-	driverT, crashT, rateT *time.Timer
+// Now implements des.Scheduler: the run's simulated time.
+func (h *host) Now() float64 { return h.r.simNow() }
+
+// ScheduleArg implements des.Scheduler for the node's rate driver and
+// fault schedule: a wall timer that enqueues fn(arg) onto the host's
+// goroutine at simulated time t. The returned ref is the zero EventRef;
+// at shutdown pending firings are dropped by enqueue.
+func (h *host) ScheduleArg(t float64, label string, fn des.ArgHandler, arg uint64) des.EventRef {
+	time.AfterFunc(durOf(t-h.r.simNow()), func() { h.enqueue(func() { fn(arg) }) })
+	return des.EventRef{}
 }
 
 // enqueue hands fn to the host's goroutine, giving up at shutdown.
@@ -106,107 +113,6 @@ func (h *host) loop(wg *sync.WaitGroup) {
 		case <-h.r.done:
 			return
 		}
-	}
-}
-
-// arm (re)schedules a chain timer d simulated seconds out. fn is bound
-// on first use only — subsequent calls must pass the same chain step,
-// which then re-runs on the host's goroutine per firing.
-func (h *host) arm(tp **time.Timer, d float64, fn func()) {
-	dur := durOf(d)
-	if *tp == nil {
-		*tp = time.AfterFunc(dur, func() { h.enqueue(fn) })
-		return
-	}
-	(*tp).Stop()
-	(*tp).Reset(dur)
-}
-
-// walkStep is the RandomWalk driver chain: redraw an in-band rate, then
-// re-arm at a jittered interval.
-func (h *host) walkStep() {
-	cfg := &h.r.cfg
-	h.clk.SetRate(h.driveRand.Range(1-cfg.Rho, 1+cfg.Rho))
-	h.arm(&h.driverT, cfg.Driver.Interval*(0.5+h.driveRand.Float64()), h.walkStep)
-}
-
-// flip applies one BangBang half-period: pin the rate to the band edge
-// and alternate.
-func (h *host) flip() {
-	if h.high {
-		h.clk.SetRate(1 + h.r.cfg.Rho)
-	} else {
-		h.clk.SetRate(1 - h.r.cfg.Rho)
-	}
-	h.high = !h.high
-}
-
-// flipStep is the BangBang driver chain.
-func (h *host) flipStep() {
-	h.flip()
-	h.arm(&h.driverT, h.r.cfg.Driver.Interval, h.flipStep)
-}
-
-func noteFault(st *fault.Stats, t float64) {
-	if t > st.LastFaultT {
-		st.LastFaultT = t
-	}
-}
-
-// crashStep is the crash/recover chain, alternating on the node's down
-// state, with the same draw order as fault.Injector: crash, then a
-// downtime draw schedules the recovery; recovery draws the next onset
-// and schedules it only inside the injection window.
-func (h *host) crashStep() {
-	spec := &h.r.cfg.Faults
-	now := h.r.simNow()
-	if !h.node.Down() {
-		h.node.Crash()
-		h.fstats.Crashes++
-		noteFault(&h.fstats, now)
-		if spec.CrashStop {
-			return
-		}
-		h.arm(&h.crashT, h.crashRand.Exp(spec.CrashDowntime), h.crashStep)
-		return
-	}
-	h.node.Recover()
-	h.fstats.Recoveries++
-	noteFault(&h.fstats, now)
-	if t := now + h.crashRand.Exp(spec.CrashEvery); t <= spec.Until {
-		h.arm(&h.crashT, t-now, h.crashStep)
-	}
-}
-
-// rateStep is the rate-excursion chain: force the hardware rate outside
-// the [1-rho, 1+rho] band for an exponential duration, then restore 1
-// and schedule the next onset inside the injection window. Draw order
-// matches fault.Injector (magnitude, then direction, then duration).
-func (h *host) rateStep() {
-	spec := &h.r.cfg.Faults
-	now := h.r.simNow()
-	if !h.excursion {
-		h.fstats.RateExcursions++
-		noteFault(&h.fstats, now)
-		r := &h.rateRand
-		mag := 1 + (spec.RateExcursionFactor-1)*(1-r.Float64())
-		rate := 1 + mag*h.r.cfg.Rho
-		if r.Bool(0.5) {
-			rate = 1 - mag*h.r.cfg.Rho
-			if rate < 0.05 {
-				rate = 0.05 // hardware clocks must keep running forward
-			}
-		}
-		h.clk.SetRate(rate)
-		h.excursion = true
-		h.arm(&h.rateT, r.Exp(spec.RateExcursionFor), h.rateStep)
-		return
-	}
-	h.clk.SetRate(1)
-	noteFault(&h.fstats, now)
-	h.excursion = false
-	if t := now + h.rateRand.Exp(spec.RateExcursionEvery); t <= spec.Until {
-		h.arm(&h.rateT, t-now, h.rateStep)
 	}
 }
 
@@ -311,26 +217,6 @@ func (r *Runtime) removeStar(hub, keepHub int) {
 	}
 }
 
-// installDriver mirrors the DES harness driver's install sequence for
-// node i.
-func (r *Runtime) installDriver(i int, h *host, driveRand *des.Rand) {
-	cfg := &r.cfg
-	switch cfg.Driver.Kind {
-	case sim.DriveConstant:
-		h.clk.SetRate(1)
-	case sim.DriveRandomWalk:
-		driveRand.ForkInto(uint64(i), &h.driveRand)
-		h.clk.SetRate(h.driveRand.Range(1-cfg.Rho, 1+cfg.Rho))
-		h.arm(&h.driverT, cfg.Driver.Interval*(0.5+h.driveRand.Float64()), h.walkStep)
-	case sim.DriveBangBang:
-		h.high = i%2 == 0
-		h.flip()
-		h.arm(&h.driverT, cfg.Driver.Interval, h.flipStep)
-	default:
-		panic("rt: unknown driver kind")
-	}
-}
-
 // sample takes one skew observation: snapshot the edge set (router lock
 // only), then read each node under its host lock. Under synctest the
 // sampler only wakes once every event at earlier instants has been fully
@@ -404,9 +290,10 @@ func (r *Runtime) Run() sim.SkewReport {
 	r.report = sim.SkewReport{}
 	r.vals = make([]float64, n)
 
-	// PRNG streams, forked with the same subsystem ids as the DES harness
-	// (structural mirroring; cross-harness comparisons are bound-based,
-	// not bit-based, since the executions schedule differently).
+	// PRNG streams, forked with the same subsystem ids as the DES
+	// harness. Driver and fault draws therefore match the DES draw for
+	// draw (TestScheduleParity); skews are compared by bound only, since
+	// message interleavings differ.
 	root := des.NewRand(cfg.Seed)
 	var delayRoot, driveRand, phaseRand, faultRoot des.Rand
 	root.ForkInto(0xde1a9, &delayRoot)
@@ -416,7 +303,7 @@ func (r *Runtime) Run() sim.SkewReport {
 	r.router = newRouter(r, n, cfg.MinDelay, cfg.MaxDelay)
 	r.hosts = make([]*host, n)
 	for i := 0; i < n; i++ {
-		h := &host{r: r, id: i, events: make(chan func(), 128)}
+		h := &host{r: r, events: make(chan func(), 128)}
 		h.clk = newDriftClock(h, r.start)
 		h.node = gcs.New(i, h.clk, cfg.Node, r.router, r.router)
 		delayRoot.ForkInto(uint64(i), &h.delayRand)
@@ -435,14 +322,13 @@ func (r *Runtime) Run() sim.SkewReport {
 		}
 	}
 
+	// The DES harness's rate driver and fault injector, each node's
+	// events running on its host.
 	for i, h := range r.hosts {
-		r.installDriver(i, h, &driveRand)
+		sim.NewDriver(&r.cfg, h, h.clk, i).Install(&driveRand)
 	}
-
-	// Fault plan: per-node streams forked with the fault package's ids
-	// (message verdicts fork 1 inside Messages.Wire; crash fork 2; rate
-	// fork 3), first onsets clamped to the injection window.
 	spec := cfg.Faults
+	inj := fault.NewInjector()
 	if spec.Enabled() {
 		root.ForkInto(0xfa07, &faultRoot)
 		if spec.MessageFaults() {
@@ -450,27 +336,12 @@ func (r *Runtime) Run() sim.SkewReport {
 			m.Wire(spec, cfg.MaxDelay, n, &faultRoot)
 			r.router.faults = m
 		}
-		var crashRoot, rateRoot des.Rand
-		faultRoot.ForkInto(2, &crashRoot)
-		faultRoot.ForkInto(3, &rateRoot)
-		for i, h := range r.hosts {
-			crashRoot.ForkInto(uint64(i), &h.crashRand)
-			rateRoot.ForkInto(uint64(i), &h.rateRand)
-		}
-		if spec.CrashEvery > 0 {
-			for _, h := range r.hosts {
-				if t := h.crashRand.Exp(spec.CrashEvery); t <= spec.Until {
-					h.arm(&h.crashT, t, h.crashStep)
-				}
-			}
-		}
-		if spec.RateExcursionEvery > 0 {
-			for _, h := range r.hosts {
-				if t := h.rateRand.Exp(spec.RateExcursionEvery); t <= spec.Until {
-					h.arm(&h.rateT, t, h.rateStep)
-				}
-			}
-		}
+		inj.Wire(spec, n, cfg.Rho, &faultRoot, fault.Hooks{
+			Crash:   func(i int) { r.hosts[i].node.Crash() },
+			Recover: func(i int) { r.hosts[i].node.Recover() },
+			SetRate: func(i int, rate float64) { r.hosts[i].clk.SetRate(rate) },
+		})
+		inj.Install(func(i int) des.Scheduler { return r.hosts[i] })
 		r.reconv.Reset(cfg.GlobalSkewBound())
 	}
 
@@ -533,15 +404,12 @@ func (r *Runtime) Run() sim.SkewReport {
 	// clock only advances once every goroutine is durably blocked again.
 	time.Sleep(time.Millisecond)
 
-	// Shutdown: release the node goroutines, then silence every
-	// long-lived timer chain. In-flight delivery callbacks only ever
-	// enqueue, and enqueue gives up once done is closed.
+	// Shutdown: release the node goroutines, then stop the clocks'
+	// timers. In-flight deliveries and driver and fault firings only
+	// ever enqueue, and enqueue gives up once done is closed.
 	close(r.done)
 	wg.Wait()
 	for _, h := range r.hosts {
-		stopTimer(h.driverT)
-		stopTimer(h.crashT)
-		stopTimer(h.rateT)
 		h.mu.Lock()
 		for _, tm := range h.clk.timers {
 			tm.Stop()
@@ -565,9 +433,9 @@ func (r *Runtime) Run() sim.SkewReport {
 	}
 	sim.FoldNodes(rep, clocks, nodes)
 	if spec.Enabled() {
-		var fs fault.Stats
+		fs := inj.Stats()
 		for _, h := range r.hosts {
-			fs.Merge(h.fstats)
+			fs.Merge(h.msgFaults)
 		}
 		rep.Faults = fs
 		rep.ReconvergenceTime = r.reconv.Time(fs)

@@ -8,6 +8,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"gcs/internal/dyngraph"
 	"gcs/internal/fault"
@@ -195,6 +196,64 @@ func (s ChurnSpec) T() float64 {
 	return 0
 }
 
+// The scenario name table: a kind's name is its String, lowercased
+// (ring, twochains, randomwalk, rotatingstar, ...). The CLI and the
+// sweep service both resolve names through these parsers.
+
+// ParseTopology maps a topology name to its spec over n nodes; grid
+// takes the most square factorization (SquareGrid).
+func ParseTopology(name string, n int) (TopologySpec, error) {
+	k, err := parseKind("topology", name, TopoTwoChains)
+	if k == TopoGrid {
+		return SquareGrid(n), nil
+	}
+	return TopologySpec{Kind: k}, err
+}
+
+// ParseDriver maps a driver name to its spec.
+func ParseDriver(name string, interval float64) (DriverSpec, error) {
+	k, err := parseKind("driver", name, DriveBangBang)
+	return DriverSpec{Kind: k, Interval: interval}, err
+}
+
+// ParseChurn maps a churn name to its spec with the standard
+// parameters, scaling the volatile candidate pool with n.
+func ParseChurn(name string, n int) (ChurnSpec, error) {
+	k, err := parseKind("churn", name, ChurnRotatingStar)
+	switch k {
+	case ChurnVolatile:
+		return ChurnSpec{Kind: k, Lifetime: 1.5, Absence: 1.0, ExtraEdges: n / 2}, err
+	case ChurnRotatingStar:
+		return ChurnSpec{Kind: k, Period: 2, Overlap: 0.5}, err
+	}
+	return ChurnSpec{}, err
+}
+
+// parseKind returns the kind in [0, last] named name.
+func parseKind[K interface {
+	~int
+	String() string
+}](what, name string, last K) (K, error) {
+	for k := K(0); k <= last; k++ {
+		if name == strings.ToLower(k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("sim: unknown %s %q", what, name)
+}
+
+// SquareGrid returns the most square W x H grid covering exactly n
+// nodes: W is the largest divisor of n not exceeding its square root.
+func SquareGrid(n int) TopologySpec {
+	w := 1
+	for d := 2; d*d <= n; d++ {
+		if n%d == 0 {
+			w = d
+		}
+	}
+	return TopologySpec{Kind: TopoGrid, W: w, H: n / w}
+}
+
 // Config declares one complete scenario. The zero value of every field
 // except N is usable; WithDefaults fills the rest.
 type Config struct {
@@ -353,7 +412,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("sim: two-chains topology needs n >= 4 (got %d)", c.N)
 		}
 	case TopoGrid:
-		if backbone && c.Topology.W*c.Topology.H != c.N {
+		if backbone && (c.Topology.W < 1 || c.Topology.W*c.Topology.H != c.N) {
 			return fmt.Errorf("sim: grid %dx%d does not cover %d nodes", c.Topology.W, c.Topology.H, c.N)
 		}
 	default:

@@ -45,7 +45,7 @@ type core struct {
 	// are views of the first Cfg.N entries; drivers[i] drives clocks[i].
 	clocks  []*clock.HardwareClock
 	nodes   []*gcs.Node
-	drivers []*driver
+	drivers []*Driver
 
 	// Reseedable PRNG streams, one per subsystem, matching the fork ids a
 	// fresh wiring would draw so reuse stays bit-identical.
@@ -88,12 +88,14 @@ type core struct {
 
 	// Fault-injection state (Config.Faults). msgFaults and injector are
 	// grow-once pools; faultHooks holds the long-lived callbacks into
-	// nodes and clocks. downMask aliases the injector's live mask so the
-	// value scan can exclude crashed nodes.
+	// nodes and clocks, and faultSched puts every node's fault schedule
+	// on the global engine. downMask aliases the injector's live mask so
+	// the value scan can exclude crashed nodes.
 	faultOn    bool
 	msgFaults  *fault.Messages
 	injector   *fault.Injector
 	faultHooks fault.Hooks
+	faultSched func(int) des.Scheduler
 	faultRoot  des.Rand
 	downMask   []bool
 	reconv     Reconvergence
@@ -182,7 +184,7 @@ func (c *core) grow(n int, engineOf func(i int) *des.Engine, net seam.Sender, to
 		hw := clock.New(en, 1)
 		c.clocks = append(c.clocks, hw)
 		c.nodes = append(c.nodes, gcs.New(i, hw, c.Cfg.Node, net, topo))
-		c.drivers = append(c.drivers, newDriver(&c.Cfg, en, hw, i))
+		c.drivers = append(c.drivers, NewDriver(&c.Cfg, en, hw, i))
 	}
 	c.Clocks = c.clocks[:n]
 	c.Nodes = c.nodes[:n]
@@ -200,7 +202,7 @@ func (c *core) wireRun() *fault.Messages {
 	for i, nd := range c.Nodes {
 		c.Clocks[i].Reset(1)
 		nd.Reset(cfg.Node)
-		c.drivers[i].install(&c.driveRand)
+		c.drivers[i].Install(&c.driveRand)
 	}
 
 	// Neighbor discovery: subscribe before the churner installs, so even
@@ -262,9 +264,10 @@ func (c *core) wireFaults() *fault.Messages {
 			Recover: func(i int) { c.Nodes[i].Recover() },
 			SetRate: func(i int, rate float64) { c.Clocks[i].SetRate(rate) },
 		}
+		c.faultSched = func(int) des.Scheduler { return c.global }
 	}
 	c.injector.Wire(cfg.Faults, cfg.N, cfg.Rho, &c.faultRoot, c.faultHooks)
-	c.injector.Install(c.global)
+	c.injector.Install(c.faultSched)
 	c.downMask = c.injector.Down()
 	c.reconv.Reset(cfg.GlobalSkewBound())
 	return msgFaults
@@ -370,35 +373,41 @@ func volatileCandidates(n, extra int, backboneEdges []dyngraph.Edge, r *des.Rand
 	return out
 }
 
-// driver is one node's reusable rate driver: long-lived closures over a
-// reseedable PRNG, scheduling on the engine that owns the node's clock,
-// so rewiring a harness re-installs drivers without allocating. The
-// install sequence — rate draws, event labels, scheduling order —
-// reproduces clock.RandomWalk/BangBang/ConstantRate exactly, which
-// TestDriverStateMatchesClockDrivers pins for both harnesses.
-type driver struct {
+// Driver is one node's reusable rate driver: long-lived closures over a
+// reseedable PRNG, scheduling on the node's des.Scheduler, so rewiring
+// a harness re-installs drivers without allocating. It is the one rate
+// driver every harness runs: the serial and sharded engines schedule it
+// on the engine that owns the node's clock, the real-time runtime on
+// the node's wall-timer host. The install sequence — rate draws, event
+// labels, scheduling order — reproduces
+// clock.RandomWalk/BangBang/ConstantRate exactly, which
+// TestDriverStateMatchesClockDrivers pins for both DES harnesses.
+type Driver struct {
 	cfg    *Config
-	en     *des.Engine
-	hw     *clock.HardwareClock
+	sched  des.Scheduler
+	clk    interface{ SetRate(float64) }
 	node   int
 	rand   des.Rand
 	high   bool
-	stepFn func()
-	bangFn func()
+	stepFn des.ArgHandler
+	bangFn des.ArgHandler
 }
 
-func newDriver(cfg *Config, en *des.Engine, hw *clock.HardwareClock, node int) *driver {
-	d := &driver{cfg: cfg, en: en, hw: hw, node: node}
-	d.stepFn, d.bangFn = d.step, d.bang
+// NewDriver returns node's driver for the scenario cfg points at,
+// setting clk's rate and scheduling its rate changes on sched.
+func NewDriver(cfg *Config, sched des.Scheduler, clk interface{ SetRate(float64) }, node int) *Driver {
+	d := &Driver{cfg: cfg, sched: sched, clk: clk, node: node}
+	d.stepFn = func(uint64) { d.step() }
+	d.bangFn = func(uint64) { d.bang() }
 	return d
 }
 
-// install arms the driver for one run. driveRand is the shared
+// Install arms the driver for one run. driveRand is the shared
 // per-wiring driver stream; the node id keys this node's fork of it.
-func (d *driver) install(driveRand *des.Rand) {
+func (d *Driver) Install(driveRand *des.Rand) {
 	switch d.cfg.Driver.Kind {
 	case DriveConstant:
-		d.hw.SetRate(1)
+		d.clk.SetRate(1)
 	case DriveRandomWalk:
 		driveRand.ForkInto(uint64(d.node), &d.rand)
 		d.step()
@@ -412,21 +421,21 @@ func (d *driver) install(driveRand *des.Rand) {
 
 // step is one RandomWalk move: a fresh in-band rate, then the next move
 // after a jittered interval.
-func (d *driver) step() {
-	d.hw.SetRate(d.rand.Range(1-d.cfg.Rho, 1+d.cfg.Rho))
-	d.en.ScheduleAfter(d.cfg.Driver.Interval*(0.5+d.rand.Float64()), "clock.walk", d.stepFn)
+func (d *Driver) step() {
+	d.clk.SetRate(d.rand.Range(1-d.cfg.Rho, 1+d.cfg.Rho))
+	d.sched.ScheduleArg(d.sched.Now()+d.cfg.Driver.Interval*(0.5+d.rand.Float64()), "clock.walk", d.stepFn, 0)
 }
 
 // bang is one BangBang half-period: pin the rate to a band edge, then
 // alternate after Interval.
-func (d *driver) bang() {
+func (d *Driver) bang() {
 	if d.high {
-		d.hw.SetRate(1 + d.cfg.Rho)
+		d.clk.SetRate(1 + d.cfg.Rho)
 	} else {
-		d.hw.SetRate(1 - d.cfg.Rho)
+		d.clk.SetRate(1 - d.cfg.Rho)
 	}
 	d.high = !d.high
-	d.en.ScheduleAfter(d.cfg.Driver.Interval, "clock.bang", d.bangFn)
+	d.sched.ScheduleArg(d.sched.Now()+d.cfg.Driver.Interval, "clock.bang", d.bangFn, 0)
 }
 
 // scanRange fills vals[from:to] with the nodes' logical clocks and
